@@ -37,7 +37,8 @@ SMOKE_FACTORS = (1, 10, 100)
 #: any host under either scheduler; ``events_per_sec`` is wall-clock on
 #: the capture machine (reference only — the guard normalises).
 BASELINE: dict = {
-    "captured": "scale layer at introduction (v1.4.0)",
+    "captured": "scale layer at introduction (v1.4.0); events re-pinned "
+                "for the inline hop path",
     "hops_per_walker": HOPS_PER_WALKER,
     "points": {
         "1": {
@@ -45,7 +46,7 @@ BASELINE: dict = {
             "nodes": 64,
             "messengers": 8,
             "sim_seconds": 0.1060639999999998,
-            "events": 2728,
+            "events": 1160,
             "remote_hops": 128,
         },
         "10": {
@@ -53,7 +54,7 @@ BASELINE: dict = {
             "nodes": 640,
             "messengers": 80,
             "sim_seconds": 1.0121899999999733,
-            "events": 27280,
+            "events": 11673,
             "remote_hops": 1280,
         },
         "100": {
@@ -61,7 +62,7 @@ BASELINE: dict = {
             "nodes": 6400,
             "messengers": 800,
             "sim_seconds": 10.064001999998293,
-            "events": 272800,
+            "events": 116822,
             "remote_hops": 12800,
         },
         "1000": {
@@ -69,7 +70,7 @@ BASELINE: dict = {
             "nodes": 64000,
             "messengers": 8000,
             "sim_seconds": 100.61052000017939,
-            "events": 2728000,
+            "events": 1168181,
             "remote_hops": 128000,
         },
     },

@@ -72,7 +72,8 @@ SCENARIOS = {
 #: ``search`` sides are simulated and must reproduce bit-identically on
 #: any host; ``requests_per_sec`` is wall-clock on the capture machine.
 BASELINE: dict = {
-    "captured": "service layer at introduction (v1.4.0)",
+    "captured": "service layer at introduction (v1.4.0); trace digests "
+                "re-pinned for the inline hop path",
     "requests_per_sec": 4717.0,
     "scenarios": {
         "messengers/below": {
@@ -89,7 +90,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "6701dbc0146dcc3eefcacf673681a172"
+            "trace_digest": "3c1782f8b9518380dad89fa5f0b315fb"
         },
         "messengers/churn_2x": {
             "goodput_rps": 183.33,
@@ -105,7 +106,7 @@ BASELINE: dict = {
                 "rejected_admission": 42,
                 "rejected_breaker": 60
             },
-            "trace_digest": "b10210d15ddb46564de1a26a60c39ea5"
+            "trace_digest": "c7e6d4992045c2967a013b88e4221701"
         },
         "messengers/churn_below": {
             "goodput_rps": 128.33,
@@ -121,7 +122,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "0d48395b7b284eb35e30c89fde044424"
+            "trace_digest": "c9bb8c7fa441ed5db147f89f290ed443"
         },
         "messengers/loss_crash_2x": {
             "goodput_rps": 130.0,
@@ -137,7 +138,7 @@ BASELINE: dict = {
                 "rejected_admission": 38,
                 "rejected_breaker": 88
             },
-            "trace_digest": "dfcf33b0e2d3de133899d0d460e69a14"
+            "trace_digest": "bd33fe6732526cefc9e1966e45dbc08e"
         },
         "messengers/loss_crash_below": {
             "goodput_rps": 113.33,
@@ -153,7 +154,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "6ff603f0335efbf2aea830bb12253905"
+            "trace_digest": "a927836a2b343e45c9db23c6d7917896"
         },
         "messengers/overload_2x": {
             "goodput_rps": 200.0,
@@ -169,7 +170,7 @@ BASELINE: dict = {
                 "rejected_admission": 35,
                 "rejected_breaker": 53
             },
-            "trace_digest": "6a7ca1dc2369a9c7f449b5848fa54b99"
+            "trace_digest": "1c3474cb9ab940bf6c5f730fdfd24a4b"
         },
         "messengers/overload_2x_nodeg": {
             "goodput_rps": 28.33,
@@ -185,7 +186,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "20614c7929083e4bd4d7e36388d2db20"
+            "trace_digest": "04d0efeff6c4b476211861220cbf9811"
         },
         "pvm/below": {
             "goodput_rps": 128.33,
@@ -201,7 +202,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "b30e0c18de64edaac13568ec8a44aa6c"
+            "trace_digest": "bea361964b93dc91495fd9f71606e91f"
         },
         "pvm/churn_2x": {
             "goodput_rps": 76.67,
@@ -217,7 +218,7 @@ BASELINE: dict = {
                 "rejected_admission": 37,
                 "rejected_breaker": 106
             },
-            "trace_digest": "3e70e629044f12cd8c357e77c1d3b21b"
+            "trace_digest": "f97640fb81ac8c41da2fea58b6a10dac"
         },
         "pvm/churn_below": {
             "goodput_rps": 128.33,
@@ -233,7 +234,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "cd56d4affaf73b4dcf21be08b4a0fcb9"
+            "trace_digest": "aaee76cc91cf933f09bab202ab31bb5d"
         },
         "pvm/loss_crash_2x": {
             "goodput_rps": 50.0,
@@ -249,7 +250,7 @@ BASELINE: dict = {
                 "rejected_admission": 39,
                 "rejected_breaker": 131
             },
-            "trace_digest": "cc6f1e204938de7d470edc921d011ae9"
+            "trace_digest": "8d82151dc1f454539c2ecf28e908003e"
         },
         "pvm/loss_crash_below": {
             "goodput_rps": 115.0,
@@ -265,7 +266,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "29cbd79c21ba6c38d8bdfff8153c03d2"
+            "trace_digest": "4349b721f39122019324890215a952e7"
         },
         "pvm/overload_2x": {
             "goodput_rps": 73.33,
@@ -281,7 +282,7 @@ BASELINE: dict = {
                 "rejected_admission": 37,
                 "rejected_breaker": 105
             },
-            "trace_digest": "60ddd490390c7698f90393ce4f6ca809"
+            "trace_digest": "5e41eb4d0bf4854c4b9d928dd564b0cf"
         },
         "pvm/overload_2x_nodeg": {
             "goodput_rps": 36.67,
@@ -297,7 +298,7 @@ BASELINE: dict = {
                 "rejected_admission": 0,
                 "rejected_breaker": 0
             },
-            "trace_digest": "37244e85028c059a8150914f538bfe09"
+            "trace_digest": "ec8d38f90ee13ba0548db035fe23b7bb"
         }
     },
     "search": {

@@ -15,7 +15,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .core import Event, PENDING, Simulator, _NO_WAITERS
+from .core import Event, PENDING, Simulator, _NO_WAITERS, _new_event
 from .errors import SimulationError
 
 __all__ = ["Resource", "Store", "PriorityStore", "FilterStore"]
@@ -79,6 +79,37 @@ class Resource:
     def request(self) -> _Request:
         """Request a slot; the returned event fires when granted."""
         return _Request(self)
+
+    def acquire(self) -> _Request:
+        """Request a slot, granting a free one synchronously.
+
+        A free slot is granted at once and the returned request is
+        already *processed*: the caller holds the slot without yielding
+        and no wake-up event is scheduled.  Otherwise the request queues
+        exactly as :meth:`request` does and the caller yields it::
+
+            req = cpu.acquire()
+            try:
+                if not req.processed:
+                    yield req
+                yield sim.timeout(3)       # hold the cpu
+            finally:
+                cpu.release(req)
+
+        Grant order is unchanged: a slot is free only when nobody is
+        queued, so an immediate grant never overtakes a waiter.
+        """
+        if len(self._users) >= self.capacity:
+            return _Request(self)
+        request = _new_event(_Request)
+        request.sim = self.sim
+        request.callbacks = None  # processed: nothing left to wait for
+        request._value = None
+        request._ok = True
+        request._defused = False
+        request.resource = self
+        self._users.add(request)
+        return request
 
     def _do_request(self, request: _Request) -> None:
         if len(self._users) < self.capacity:
@@ -177,6 +208,20 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert ``item``; returned event fires when accepted."""
         return _Put(self, item)
+
+    def put_nowait(self, item: Any) -> None:
+        """Insert ``item`` at once, without a completion event.
+
+        For senders that never wait on :meth:`put`: the item is stored
+        (and handed to a waiting getter) immediately, and no put event
+        is allocated or scheduled.  A full store raises
+        :class:`SimulationError` instead of queueing the put.
+        """
+        if self._putters or len(self._items) >= self.capacity:
+            raise SimulationError(f"put_nowait() on a full {self!r}")
+        self._store_item(item)
+        if self._getters:
+            self._dispatch()
 
     def get(self) -> Event:
         """Remove and return the oldest item via the returned event."""

@@ -18,6 +18,16 @@ node/link creation          ``logical_create_s`` each
 
 Crucially there is **no pack/unpack copy** on hops — messenger variables
 migrate as-is (§2.1's zero-copy argument against message passing).
+
+Process structure: like the paper's daemon loop over a Messenger queue,
+each daemon is two long-lived processes, an arrival pump and an
+interpreter loop, and nothing on the hop path spawns another.  CPU
+charges run inline (``yield from self.host.busy(...)``), the ready
+queue is filled with :meth:`~repro.des.Store.put_nowait`, and outgoing
+Messengers leave through the fire-and-forget
+:meth:`~repro.netsim.Network.post`.  A remote hop costs about nine
+kernel events (CPU and wire timeouts plus queue wake-ups) and no
+process spawn; ``tests/test_hop_path_counters.py`` gates both counts.
 """
 
 from __future__ import annotations
@@ -101,7 +111,7 @@ class Daemon:
 
     def enqueue_ready(self, messenger: Messenger) -> None:
         """Make a Messenger runnable on this daemon (no cost charged)."""
-        self.ready.put(messenger)
+        self.ready.put_nowait(messenger)
 
     # -- processes ----------------------------------------------------------------
 
@@ -109,16 +119,9 @@ class Daemon:
         """Receive Messengers (and create requests) from other daemons."""
         port = self.host.port(self.port_name)
         costs = self.system.costs
-        recycle = self.system.network.recycle
-        spent = None
+        busy = self.host.busy
         while True:
             packet = yield port.get()
-            if spent is not None:
-                # By the time a further arrival lands, the previous
-                # packet's delivery bookkeeping (its done event) is
-                # gone, so the object can go back to the free-list.
-                recycle(spent)
-            spent = packet
             kind, data = packet.payload
             metrics = self.sim.obs
             if self.retired:
@@ -130,12 +133,10 @@ class Daemon:
             if kind == "messenger":
                 messenger = data
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            costs.hop_dispatch_s,
-                            category="dispatch",
-                            label="hop.dispatch",
-                        )
+                    yield from busy(
+                        costs.hop_dispatch_s,
+                        category="dispatch",
+                        label="hop.dispatch",
                     )
                 except HostCrashedError:
                     # The crash landed while the dispatch was queued on
@@ -156,12 +157,10 @@ class Daemon:
             elif kind == "create":
                 messenger, item, origin_node = data
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            costs.hop_dispatch_s,
-                            category="dispatch",
-                            label="hop.dispatch",
-                        )
+                    yield from busy(
+                        costs.hop_dispatch_s,
+                        category="dispatch",
+                        label="hop.dispatch",
                     )
                 except HostCrashedError:
                     continue
@@ -174,12 +173,10 @@ class Daemon:
                 self._create_local(messenger, item, origin_node)
                 # creation cost itself
                 try:
-                    yield self.sim.process(
-                        self.host.busy(
-                            2 * costs.logical_create_s,
-                            category="dispatch",
-                            label="logical.create",
-                        )
+                    yield from busy(
+                        2 * costs.logical_create_s,
+                        category="dispatch",
+                        label="logical.create",
                     )
                 except HostCrashedError:
                     continue
@@ -220,18 +217,16 @@ class Daemon:
             )
             self.system.messenger_done(messenger, lost=True)
             return
-        yield self.sim.process(
-            self.host.busy(
-                costs.hop_dispatch_s,
-                category="dispatch",
-                label="hop.forward",
-            )
+        yield from self.host.busy(
+            costs.hop_dispatch_s,
+            category="dispatch",
+            label="hop.forward",
         )
         self.stats.forwarded += 1
         if self.sim.obs is not None:
             self.sim.obs.count("messengers.forwarded")
         self.system.trace(messenger, "forward", self.name, f"-> {target}")
-        self.system.network.enqueue(self.system.network.packet(
+        self.system.network.post(Packet(
             src=self.name,
             dst=target,
             port=self.port_name,
@@ -318,9 +313,7 @@ class Daemon:
             # One uninterrupted burst (the non-preemptive policy); the
             # attribution is split below: script interpretation versus
             # whatever the natives charged (compute, copies, ...).
-            yield self.sim.process(
-                self.host.busy(busy, category=None, label="slice")
-            )
+            yield from self.host.busy(busy, category=None, label="slice")
         if not messenger.alive:
             # Killed mid-burst (crash recovery, or an external kill()):
             # the work was charged, but the resulting command must not
@@ -386,12 +379,10 @@ class Daemon:
                     logical.delete_link(link)
                     self.stats.links_deleted += 1
             if moves:
-                yield self.sim.process(
-                    self.host.busy(
-                        costs.logical_create_s * len(moves),
-                        category="dispatch",
-                        label="link.delete",
-                    )
+                yield from self.host.busy(
+                    costs.logical_create_s * len(moves),
+                    category="dispatch",
+                    label="link.delete",
                 )
 
         if not moves:
@@ -433,21 +424,20 @@ class Daemon:
                     replica, "hop", self.name,
                     f"-> {node.daemon} ({state}B)",
                 )
-                packet = self.system.network.packet(
+                self.system.network.post(Packet(
                     src=self.name,
                     dst=node.daemon,
                     port=self.port_name,
                     payload=("messenger", replica),
                     size_bytes=state,
-                )
-                self.system.network.enqueue(packet)
+                ))
                 self.system.checkpoint_dispatch(
                     replica, holder=self.name, kind="hop"
                 )
         local_cost = dispatch_cost + copy_cost
         if local_cost > 0:
-            yield self.sim.process(
-                self.host.busy(local_cost, category=None, label="hop.local")
+            yield from self.host.busy(
+                local_cost, category=None, label="hop.local"
             )
         metrics = self.sim.obs
         if metrics is not None:
@@ -523,14 +513,13 @@ class Daemon:
                 copy_cost += state * costs.msgr_state_local_per_byte_s
                 self.enqueue_ready(replica)
             else:
-                packet = self.system.network.packet(
+                self.system.network.post(Packet(
                     src=self.name,
                     dst=daemon_name,
                     port=self.port_name,
                     payload=("create", (replica, item, origin)),
                     size_bytes=state + 64,  # state + create request header
-                )
-                self.system.network.enqueue(packet)
+                ))
                 self.system.checkpoint_dispatch(
                     replica,
                     holder=self.name,
@@ -541,10 +530,8 @@ class Daemon:
                 )
         local_cost = dispatch_cost + copy_cost
         if local_cost > 0:
-            yield self.sim.process(
-                self.host.busy(
-                    local_cost, category=None, label="create.local"
-                )
+            yield from self.host.busy(
+                local_cost, category=None, label="create.local"
             )
         metrics = self.sim.obs
         if metrics is not None:

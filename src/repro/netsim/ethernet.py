@@ -41,47 +41,52 @@ class EthernetSegment:
         self.busy_seconds: float = 0.0
 
     def transmit(self, size_bytes: int):
-        """Process generator: occupy the medium while sending a payload.
+        """Generator: occupy the medium while sending a payload.
 
-        Completes when the last fragment has been received at the far
-        end; the caller layers endpoint costs on top.
+        Drive it inline from a process
+        (``yield from segment.transmit(n)``); it completes when the last
+        fragment has been received at the far end, and the caller layers
+        endpoint costs on top.  An idle medium is taken synchronously,
+        so an uncontended fragment costs one timeout.
         """
         if size_bytes < 0:
             raise ValueError(f"negative frame size {size_bytes}")
+        return self._transmit(size_bytes)
+
+    def _transmit(self, size_bytes: int):
         fragments = max(1, math.ceil(size_bytes / self.MTU))
         last = size_bytes - (fragments - 1) * self.MTU
-
-        def _transmit(sim):
-            for index in range(fragments):
-                payload = self.MTU if index < fragments - 1 else last
-                requested = sim.now
-                req = self._medium.request()
-                yield req
-                try:
-                    duration = self.costs.wire_seconds(payload)
-                    start = sim.now
-                    yield sim.timeout(duration)
-                    self.busy_seconds += duration
-                    self.bytes_carried += payload
-                    self.frames_carried += 1
-                    metrics = sim.obs
-                    if metrics is not None:
-                        metrics.count("netsim.eth.frames")
-                        metrics.count("netsim.eth.bytes", payload)
-                        stall = start - requested
-                        if stall > 0:
-                            # Contention: time spent waiting for the
-                            # shared medium (not charged to the ledger —
-                            # it overlaps other senders' wire time).
-                            metrics.count("netsim.eth.stall_seconds", stall)
-                            metrics.observe("netsim.eth.stall", stall)
-                        metrics.span(
-                            self.name, "frame", "wire", start, sim.now,
-                        )
-                finally:
-                    self._medium.release(req)
-
-        return _transmit(self.sim)
+        sim = self.sim
+        medium = self._medium
+        for index in range(fragments):
+            payload = self.MTU if index < fragments - 1 else last
+            requested = sim.now
+            req = medium.acquire()
+            try:
+                if not req.processed:
+                    yield req
+                duration = self.costs.wire_seconds(payload)
+                start = sim.now
+                yield sim.timeout(duration)
+                self.busy_seconds += duration
+                self.bytes_carried += payload
+                self.frames_carried += 1
+                metrics = sim.obs
+                if metrics is not None:
+                    metrics.count("netsim.eth.frames")
+                    metrics.count("netsim.eth.bytes", payload)
+                    stall = start - requested
+                    if stall > 0:
+                        # Contention: time spent waiting for the
+                        # shared medium (not charged to the ledger —
+                        # it overlaps other senders' wire time).
+                        metrics.count("netsim.eth.stall_seconds", stall)
+                        metrics.observe("netsim.eth.stall", stall)
+                    metrics.span(
+                        self.name, "frame", "wire", start, sim.now,
+                    )
+            finally:
+                medium.release(req)
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time the medium was busy."""

@@ -72,11 +72,11 @@ class Host:
     # -- CPU ------------------------------------------------------------------
 
     def compute(self, flops: float, working_set_bytes: float = 0.0):
-        """Process generator: occupy the CPU for a computation.
+        """Generator: occupy the CPU for a computation.
 
-        Usage from another process::
+        Drive it inline from a process::
 
-            yield sim.process(host.compute(1e6, working_set_bytes=8e6))
+            yield from host.compute(1e6, working_set_bytes=8e6)
         """
         seconds = self.costs.compute_seconds(
             flops, working_set_bytes, self.cpu_scale
@@ -89,7 +89,12 @@ class Host:
         category: Optional[str] = "compute",
         label: Optional[str] = None,
     ):
-        """Process generator: occupy the CPU for a fixed duration.
+        """Generator: occupy the CPU for a fixed duration.
+
+        Drive it inline from a process (``yield from host.busy(s)``):
+        an idle CPU is taken synchronously, so the caller waits on one
+        timeout and nothing else — no process is spawned and no grant
+        event is scheduled.  A busy CPU queues the caller FIFO.
 
         ``category`` attributes the time in the cost ledger when a
         metrics registry is attached (see :mod:`repro.obs`); pass
@@ -99,34 +104,36 @@ class Host:
         """
         if seconds < 0:
             raise ValueError(f"negative busy time {seconds}")
+        return self._occupy(seconds, category, label)
 
-        def _busy(sim):
-            if self.crashed:
-                raise HostCrashedError(f"host {self.name!r} is down")
-            req = self.cpu.request()
-            yield req
-            start = sim.now
-            try:
+    def _occupy(self, seconds, category, label):
+        if self.crashed:
+            raise HostCrashedError(f"host {self.name!r} is down")
+        sim = self.sim
+        cpu = self.cpu
+        req = cpu.acquire()
+        try:
+            if not req.processed:
+                yield req
                 if self.crashed:
                     # Crashed while queued for the CPU.
                     raise HostCrashedError(f"host {self.name!r} is down")
-                yield sim.timeout(seconds)
-                self.busy_seconds += seconds
-                metrics = sim.obs
-                if metrics is not None and (
-                    category is not None or label is not None
-                ):
-                    # With category=None the span is recorded for the
-                    # trace but not charged — the caller attributes the
-                    # time itself (e.g. pack copy + protocol overhead).
-                    metrics.span(
-                        self.name, label or category, category,
-                        start, sim.now,
-                    )
-            finally:
-                self.cpu.release(req)
-
-        return _busy(self.sim)
+            start = sim.now
+            yield sim.timeout(seconds)
+            self.busy_seconds += seconds
+            metrics = sim.obs
+            if metrics is not None and (
+                category is not None or label is not None
+            ):
+                # With category=None the span is recorded for the
+                # trace but not charged — the caller attributes the
+                # time itself (e.g. pack copy + protocol overhead).
+                metrics.span(
+                    self.name, label or category, category,
+                    start, sim.now,
+                )
+        finally:
+            cpu.release(req)
 
     def compute_seconds(
         self, flops: float, working_set_bytes: float = 0.0

@@ -11,7 +11,6 @@ not here — the wire treats everyone equally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from sys import getrefcount as _getrefcount
 from typing import Any, Optional
 
 from ..des import Simulator
@@ -105,9 +104,6 @@ class Network:
         self._inflight: dict[tuple, int] = {}
         #: Counter of sends refused by flow control (for reporting).
         self.overloads = 0
-        #: Free-list of spent :class:`Packet` objects (see :meth:`packet`
-        #: / :meth:`recycle`).
-        self._packet_pool: list[Packet] = []
 
     # -- topology ---------------------------------------------------------
 
@@ -260,8 +256,8 @@ class Network:
         if host.crashed:
             return
         lost_items = host.crash()
-        # _tx entries are (packet, done) pairs; delivery queues hold
-        # bare packets.  Normalize to packets for the listeners.
+        # _tx entries are (packet, done-or-None) pairs; delivery queues
+        # hold bare packets.  Normalize to packets for the listeners.
         lost = [
             item[0] if isinstance(item, tuple) else item
             for item in lost_items
@@ -313,9 +309,17 @@ class Network:
             listener(host)
 
     def _tx_pump(self, host: Host):
-        """Serially drain ``host``'s outbound queue onto the wire."""
+        """Serially drain ``host``'s outbound queue onto the wire.
+
+        Wire and delivery run inline: the medium is held through
+        ``yield from`` and the arrival is a synchronous store insert, so
+        an uncontended remote packet costs the pump three timeouts and
+        no spawned process.  ``done`` is None for packets sent with
+        :meth:`post`.
+        """
         outbound = host.port("_tx")
         overhead = self.costs.endpoint_overhead_s
+        sim = self.sim
         while True:
             packet, done = yield outbound.get()
             if host.crashed:
@@ -323,55 +327,47 @@ class Network:
                 # the dead NIC.  (Normal senders cannot reach a crashed
                 # host's queue — enqueue() rejects them.)
                 continue
-            start = self.sim.now
-            yield self.sim.timeout(overhead)
+            start = sim.now
+            yield sim.timeout(overhead)
             endpoint_s = overhead
             faults = self.faults
             action = "deliver"
             if not packet.is_local:
                 if faults is not None and self._lossy:
                     action = faults.packet_action(packet)
-                if action == "partitioned":
-                    # The interface never puts the frame on the wire.
-                    done.succeed(packet)
-                    continue
-                yield self.sim.process(
-                    self.segment.transmit(packet.size_bytes)
-                )
-                yield self.sim.timeout(overhead)
-                endpoint_s += overhead
-            if action in ("drop", "corrupt"):
-                # Lost on the wire / failed the receiver's checksum.
-                done.succeed(packet)
-                continue
-            dst_host = self._hosts[packet.dst]
-            if dst_host.crashed:
+                # A partitioned interface never puts the frame on the wire.
+                if action != "partitioned":
+                    yield from self.segment.transmit(packet.size_bytes)
+                    yield sim.timeout(overhead)
+                    endpoint_s += overhead
+            if action in ("partitioned", "drop", "corrupt"):
+                pass  # never sent, lost on the wire, or failed the checksum
+            elif self._hosts[packet.dst].crashed:
                 if faults is not None:
                     faults.count("packets_to_dead_host")
+            else:
+                copies = 2 if action == "duplicate" else 1
+                self._deliver(packet, copies)
+                metrics = sim.obs
+                if metrics is not None:
+                    metrics.charge("protocol", endpoint_s)
+                    metrics.span(
+                        host.name,
+                        f"tx:{packet.port}",
+                        None,
+                        start,
+                        sim.now,
+                        args={"dst": packet.dst, "bytes": packet.size_bytes},
+                        charge=False,
+                    )
+            if done is not None:
                 done.succeed(packet)
-                continue
-            copies = 2 if action == "duplicate" else 1
-            yield from self._deliver(host, packet, dst_host, copies)
-            metrics = self.sim.obs
-            if metrics is not None:
-                metrics.charge("protocol", endpoint_s)
-                metrics.span(
-                    host.name,
-                    f"tx:{packet.port}",
-                    None,
-                    start,
-                    self.sim.now,
-                    args={"dst": packet.dst, "bytes": packet.size_bytes},
-                    charge=False,
-                )
-            done.succeed(packet)
 
-    def _deliver(self, src_host: Host, packet: Packet, dst_host: Host,
-                 copies: int):
+    def _deliver(self, packet: Packet, copies: int) -> None:
         """Hand ``copies`` arrivals of ``packet`` to the destination port,
         applying dedup + acking for reliable (sequenced) packets."""
         faults = self.faults
-        queue = dst_host.port(packet.port)
+        queue = self._hosts[packet.dst].port(packet.port)
         for _ in range(copies):
             if packet.seq is not None:
                 key = (packet.src, packet.port, packet.seq)
@@ -382,7 +378,7 @@ class Network:
                 # Ack every received copy — a duplicate's ack covers the
                 # case where the first ack itself was lost.
                 faults.count("acks_sent")
-                self.enqueue(Packet(
+                self.post(Packet(
                     src=packet.dst,
                     dst=packet.src,
                     port="_ack",
@@ -395,7 +391,7 @@ class Network:
                     continue
             elif copies > 1 and faults is not None:
                 faults.count("duplicates_delivered")
-            yield queue.put(packet)
+            queue.put_nowait(packet)
             self.delivered += 1
             metrics = self.sim.obs
             if metrics is not None:
@@ -449,7 +445,7 @@ class Network:
             if src_host.crashed or dst_host.crashed:
                 break
             faults.count("retransmits")
-            src_host.port("_tx").put((packet, self.sim.event()))
+            src_host.port("_tx").put_nowait((packet, None))
             delay *= backoff
             delay *= 1.0 + jitter * jitter_rng.random()
         else:
@@ -476,69 +472,27 @@ class Network:
     def __len__(self) -> int:
         return len(self._hosts)
 
-    # -- packet pooling ------------------------------------------------------
-
-    def packet(
-        self,
-        src: str,
-        dst: str,
-        port: str,
-        payload: Any,
-        size_bytes: int,
-        deadline_s: Optional[float] = None,
-    ) -> Packet:
-        """A fresh :class:`Packet`, reusing a recycled object if any.
-
-        Behaves exactly like the ``Packet(...)`` constructor — every
-        field is overwritten — but at scale (millions of daemon hops)
-        the free-list keeps the allocator out of the per-hop path.
-        """
-        pool = self._packet_pool
-        if pool:
-            packet = pool.pop()
-            packet.src = src
-            packet.dst = dst
-            packet.port = port
-            packet.payload = payload
-            packet.size_bytes = size_bytes
-            packet.send_time = 0.0
-            packet.seq = None
-            packet.deadline_s = deadline_s
-            return packet
-        return Packet(
-            src=src,
-            dst=dst,
-            port=port,
-            payload=payload,
-            size_bytes=size_bytes,
-            deadline_s=deadline_s,
-        )
-
-    def recycle(self, packet: Packet) -> None:
-        """Return a spent packet to the free-list — if provably safe.
-
-        The packet is pooled only when the caller's local plus this
-        argument are the *only* live references (refcount check): a
-        retransmitter, a pending delivery copy, or a crash listener
-        still holding the object keeps it out of the pool.  ``Packet``
-        uses ``slots=True`` with no ``__weakref__``, so no untracked
-        reference can exist.  Callers must drop their own reference
-        right after this returns.
-        """
-        if _getrefcount(packet) == 2 and len(self._packet_pool) < 4096:
-            packet.payload = None  # release the payload immediately
-            self._packet_pool.append(packet)
-
     # -- delivery ------------------------------------------------------------
 
     def enqueue(self, packet: Packet):
         """Hand ``packet`` to the source host's NIC; returns the event
-        that fires once the packet has been *delivered* at the far end.
+        that fires once the packet has been *delivered* at the far end
+        (or lost on the way).
 
-        Enqueueing itself is immediate — callers that want asynchronous
-        (PVM-style buffered) sends simply do not wait on the returned
-        event.  FIFO order per source host is guaranteed.
+        Enqueueing itself is immediate.  Callers that never wait on the
+        returned event should use :meth:`post`, which skips it.  FIFO
+        order per source host is guaranteed.
         """
+        done = self.sim.event()
+        self._submit(packet, done)
+        return done
+
+    def post(self, packet: Packet) -> None:
+        """Fire-and-forget delivery: :meth:`enqueue` without the
+        completion event (none is allocated or scheduled)."""
+        self._submit(packet, None)
+
+    def _submit(self, packet: Packet, done) -> None:
         if packet.dst not in self._hosts:
             raise KeyError(f"unknown destination host {packet.dst!r}")
         if packet.src not in self._hosts:
@@ -549,7 +503,6 @@ class Network:
                 f"cannot send from crashed host {packet.src!r}"
             )
         packet.send_time = self.sim.now
-        done = self.sim.event()
         if (
             self._lossy
             and packet.seq is None
@@ -578,8 +531,7 @@ class Network:
             self.sim.process(
                 self._retransmitter(packet, ack_event), daemon=True
             )
-        src_host.port("_tx").put((packet, done))
-        return done
+        src_host.port("_tx").put_nowait((packet, done))
 
     def send(self, packet: Packet):
         """Process generator: carry ``packet`` and wait for delivery."""
@@ -590,10 +542,6 @@ class Network:
             return packet
 
         return _send(self.sim)
-
-    def post(self, packet: Packet) -> None:
-        """Fire-and-forget delivery (never waits)."""
-        self.enqueue(packet)
 
     def receive(self, host_name: str, port: str):
         """Event: the next packet arriving at ``host_name``/``port``."""

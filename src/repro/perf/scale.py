@@ -6,7 +6,7 @@ is only possible if nothing in the hot path is super-linear in the
 number of daemons, logical nodes, or live Messengers — which is exactly
 what the calendar-queue scheduler (O(1) amortised vs. O(log n) heap),
 the per-daemon logical-node shards (O(shard) vs. O(all nodes) scans)
-and the object free-lists (Timeout / Messenger / Packet reuse instead
+and the object free-lists (Timeout / Messenger reuse instead
 of allocator churn) buy.
 
 One *scale point* is a ring benchmark:

@@ -102,6 +102,35 @@ class TestResource:
         sim.process(quitter(sim))
         sim.run()
 
+    def test_acquire_grants_free_slot_synchronously(self, sim):
+        res = Resource(sim, capacity=1)
+        req = res.acquire()
+        assert req.processed and req.ok
+        assert res.count == 1
+        assert sim.peek() == float("inf")  # no grant event scheduled
+        res.release(req)
+        assert res.count == 0
+
+    def test_acquire_queues_fifo_behind_holders(self, sim):
+        res = Resource(sim, capacity=1)
+        trace = []
+
+        def job(sim, name, hold):
+            req = res.acquire()
+            try:
+                if not req.processed:
+                    yield req
+                trace.append((sim.now, name))
+                yield sim.timeout(hold)
+            finally:
+                res.release(req)
+
+        for name in "abc":
+            sim.process(job(sim, name, 2))
+        sim.run()
+        assert trace == [(0, "a"), (2, "b"), (4, "c")]
+        assert res.count == 0 and res.queue_length == 0
+
     def test_release_unknown_request_raises(self, sim):
         a = Resource(sim, capacity=1)
         b = Resource(sim, capacity=1)
@@ -172,6 +201,28 @@ class TestStore:
         sim.process(consumer(sim))
         sim.run()
         assert log == [(0, "put-a"), (5, "got-a"), (5, "put-b")]
+
+    def test_put_nowait_wakes_getter_without_put_event(self, sim):
+        store = Store(sim)
+        got = []
+
+        def consumer(sim):
+            got.append((yield store.get()))
+
+        sim.process(consumer(sim), daemon=True)
+        sim.run()
+        before = sim._eid
+        store.put_nowait("x")
+        assert sim._eid == before + 1  # the getter's wake-up, nothing else
+        sim.run()
+        assert got == ["x"]
+
+    def test_put_nowait_on_full_store_raises(self, sim):
+        store = Store(sim, capacity=1)
+        store.put_nowait(1)
+        with pytest.raises(SimulationError):
+            store.put_nowait(2)
+        assert store.items == [1]
 
     def test_try_get(self, sim):
         store = Store(sim)

@@ -120,11 +120,14 @@ def statements(draw, depth=0):
         return f"if ({cond}) {{ {then} }} else {{ {other} }}"
     if kind == "while":
         # Bounded counting loop over a dedicated counter variable so
-        # generated programs always terminate.
+        # generated programs always terminate.  Each nesting depth gets
+        # its own counter: an inner loop resetting the outer one's
+        # counter would spin forever.
         bound = draw(st.integers(min_value=1, max_value=4))
         body = draw(statements(depth=depth + 1))
+        k = f"k{depth}" if depth else "k"
         return (
-            f"k = 0; while (k < {bound}) {{ {body} k = k + 1; }}"
+            f"{k} = 0; while ({k} < {bound}) {{ {body} {k} = {k} + 1; }}"
         )
     if kind == "hop":
         if draw(st.booleans()):

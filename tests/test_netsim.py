@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des import Interrupt, Simulator
 from repro.netsim import (
     CacheModel,
     CostModel,
@@ -87,6 +87,50 @@ class TestHost:
         sim.process(job(sim))
         sim.run()
         assert sim.now == pytest.approx(2.0)
+
+    def test_inline_busy_costs_one_timeout(self, sim, costs):
+        host = Host(sim, "h0", costs)
+
+        def proc(sim):
+            yield from host.busy(0.5)
+
+        sim.process(proc(sim))
+        sim.run()
+        before = sim._eid
+        sim.process(proc(sim))
+        sim.run()
+        # Process start, the busy timeout, the process exit: no CPU
+        # grant event and no nested process.
+        assert sim._eid - before == 3
+        assert host.busy_seconds == pytest.approx(1.0)
+
+    def test_interrupted_busy_frees_the_cpu(self, sim, costs):
+        host = Host(sim, "h0", costs)
+        ends = []
+
+        def job(sim):
+            try:
+                yield from host.busy(1.0)
+            except Interrupt:
+                ends.append(("interrupted", sim.now))
+                return
+            ends.append(("done", sim.now))
+
+        first = sim.process(job(sim))
+        queued = sim.process(job(sim))
+
+        def killer(sim):
+            yield sim.timeout(0.25)
+            queued.interrupt()
+            first.interrupt()
+
+        sim.process(killer(sim))
+        sim.process(job(sim))
+        sim.run()
+        assert ends == [
+            ("interrupted", 0.25), ("interrupted", 0.25), ("done", 1.25),
+        ]
+        assert host.cpu.count == 0 and host.cpu.queue_length == 0
 
     def test_cpu_scale_validation(self, sim, costs):
         with pytest.raises(ValueError):

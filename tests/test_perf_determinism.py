@@ -1,9 +1,13 @@
 """Fast path changes no simulated result bit.
 
-The golden digests below were captured with the *pre-optimisation*
-kernel (the stack as of commit d15be66, before ``repro.perf`` and the
-DES/VM fast path landed).  Every optimisation since must reproduce
-them exactly:
+The golden digests below pin the kernel's exact event schedule.  They
+were first captured with the *pre-optimisation* kernel (commit d15be66)
+and re-pinned once, when the inline hop path stopped spawning a process
+per CPU, wire and queue hand-off: that removed bookkeeping events
+(process start-ups, resource grants, zero-waiter puts) but no simulated
+result, as ``tests/test_hop_path_observables.py`` proves on the
+Messenger journeys, outputs and cost ledger.  Every other optimisation
+must reproduce them exactly:
 
 * the **trace hash** folds every executed event — time, priority,
   event id, daemon flag, event type — in execution order, so it pins
@@ -32,29 +36,29 @@ from repro.perf import hashing_all_simulators
 #: name -> (trace digest, events executed, result-bytes digest)
 GOLDEN = {
     "mandelbrot_messengers": (
-        "1cba609be0acd121edff256344b97996", 828,
+        "18db2b0dd0eaf18066ae2ac5158d5151", 327,
         "39c6f88e0a32c8eede71db1286d32e74",
     ),
     "mandelbrot_pvm": (
-        "41815c05a1afd6e4afec7fed13d7d82b", 758,
+        "0dd18754e0a59c192cc8a1833254851e", 332,
         "39c6f88e0a32c8eede71db1286d32e74",
     ),
     "mandelbrot_messengers_lossy": (
-        "20e00bb4c7002e7bfd08db0842ecf046", 1462, None,
+        "21abe692fd8f89632edc4b6896d9ad3f", 737, None,
     ),
     "mandelbrot_pvm_lossy": (
-        "8e8e3dd2a9e7a9769d355ba132118720", 1296, None,
+        "48e67bae4dd93b90607cfb266e3b87c1", 670, None,
     ),
     "matmul_messengers_2x2": (
-        "8e3e548c65249a6bd4ed722555c03a23", 489,
+        "bb54bf4a3e5a65987005524dd7c0f23f", 261,
         "fbe52d7374df5502044ad556af3d2f9c",
     ),
     "mandelbrot_messengers_big": (
-        "b11efd4bf4e131b1585bf14bb8b1caeb", 2942,
+        "2d85f219c9852729e662ca9564215eaa", 1181,
         "b3a189507f335e9af830b4d90aa79d16",
     ),
     "mandelbrot_pvm_big": (
-        "649275683faf6a27738eaa072e38c84a", 2978,
+        "a1ba99b0d920000f47042409845d5f75", 1305,
         "b3a189507f335e9af830b4d90aa79d16",
     ),
 }
@@ -251,7 +255,7 @@ class TestSchedulerGoldenEquivalence:
 
     The CalendarQueue (``Simulator(scheduler="calendar")``) claims the
     exact ``(time, priority, eid, daemon)`` drain order of the heap it
-    replaces at scale.  Proof on real workloads: the pre-optimisation
+    replaces at scale.  Proof on real workloads: the
     golden digests above — fig-5 Mandelbrot (both systems), fig-12b
     matmul, and the 5%-loss fault plan — are reproduced unchanged with
     the calendar scheduler switched on process-wide.
@@ -311,7 +315,7 @@ class TestClosuresBackendGoldenEquivalence:
     The basic-block superinstruction compiler
     (``Simulator(mcl_backend="closures")``) claims the interpreter's
     exact Command stream and instruction accounting.  Proof on real
-    workloads: the pre-optimisation golden digests above — fig-5
+    workloads: the golden digests above — fig-5
     Mandelbrot (both systems), fig-12b matmul, and the 5%-loss fault
     plan — are reproduced unchanged with the closures backend switched
     on process-wide.
