@@ -13,22 +13,14 @@ job runs this file with plain pytest):
   *host-independent* number: the live-vs-reference speedup ratio now
   versus when the baseline was committed.  A >25% drop in that ratio
   means the kernel itself lost events/sec, not that CI got a slower
-  machine;
-* the closures-backend leg: the MCL basic-block closures compiler
-  raced against the int-opcode interpreter (floor + the same 25%
-  ratio-regression guard).  Its bit-identity gate lives in
-  ``tests/test_perf_determinism.py`` and runs in the same CI job.
+  machine.
 """
 
 import json
 from functools import lru_cache
 from pathlib import Path
 
-from repro.perf import (
-    des_speedup_vs_reference,
-    throughput_suite,
-    vm_backend_speedup,
-)
+from repro.perf import des_speedup_vs_reference, throughput_suite
 
 BENCH_PERF = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
@@ -36,11 +28,6 @@ BENCH_PERF = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 @lru_cache(maxsize=None)
 def _speedup(workload: str) -> dict:
     return des_speedup_vs_reference(n=60_000, rounds=25, workload=workload)
-
-
-@lru_cache(maxsize=None)
-def _backend_speedup() -> dict:
-    return vm_backend_speedup(n=20_000, rounds=15)
 
 
 def test_des_events_per_sec_at_least_2x(show):
@@ -93,32 +80,3 @@ def test_no_regression_vs_committed_baseline(show):
             f"committed BENCH_perf.json baseline "
             f"({measured:.2f}x vs {pinned:.2f}x)"
         )
-
-
-def test_closures_backend_speedup_floor(show):
-    # The closures-backend leg of the perf-smoke job.  The acceptance
-    # target (>=3x, recorded in BENCH_perf.json) is measured on a quiet
-    # host; the CI floor is deliberately looser, the same margin policy
-    # the DES gates use.
-    result = _backend_speedup()
-    show(
-        f"MCL closures: {result['closures_per_sec']:,.0f} op/s vs "
-        f"interp {result['interp_per_sec']:,.0f} op/s -> "
-        f"{result['speedup']:.2f}x"
-    )
-    assert result["speedup"] >= 2.0
-
-
-def test_closures_no_regression_vs_committed_baseline(show):
-    committed = json.loads(BENCH_PERF.read_text())
-    pinned = committed["current"]["backends"]["closures_speedup"]
-    measured = _backend_speedup()["speedup"]
-    show(
-        f"closures: speedup vs interp {measured:.2f}x "
-        f"(committed {pinned:.2f}x)"
-    )
-    assert measured >= 0.75 * pinned, (
-        "closures backend: opcodes/sec regressed >25% against the "
-        f"committed BENCH_perf.json baseline "
-        f"({measured:.2f}x vs {pinned:.2f}x)"
-    )

@@ -81,43 +81,17 @@ def run_perf_report(
     repeats: int = 3,
     figures: bool = True,
     speedup_rounds: int = 25,
-    backend: str = "interp",
 ) -> dict:
     """Measure the current tree; return the ``BENCH_perf.json`` blob.
 
     ``scale`` shrinks the microbenchmark iteration counts (CI smoke
     uses a fraction); ``figures=False`` skips the two end-to-end figure
-    sweeps, which dominate the runtime.  ``backend`` selects which MCL
-    backend the headline ``vm_opcodes`` probe and figure walls run on
-    (``"interp"`` keeps them comparable with ``BASELINE``); the
-    ``current.backends`` section always races interp against closures
-    back-to-back and, with ``figures=True``, measures the figure walls
-    under both backends.
+    sweeps, which dominate the runtime.
     """
-    from ..des import MCL_BACKENDS, mcl_backend_default
-    from ..perf import (
-        des_speedup_vs_reference,
-        throughput_suite,
-        vm_backend_speedup,
-        vm_opcode_throughput,
-    )
+    from ..perf import des_speedup_vs_reference, throughput_suite
 
-    if backend not in MCL_BACKENDS:
-        raise ValueError(
-            f"unknown MCL backend {backend!r}; expected one of "
-            f"{MCL_BACKENDS}"
-        )
-    vm_n = max(500, int(20_000 * scale))
     suite = throughput_suite(scale=scale, repeats=repeats)
-    if backend != "interp":
-        suite["vm_opcodes"] = vm_opcode_throughput(
-            vm_n, repeats, backend=backend
-        )
-    comparison = vm_backend_speedup(
-        n=vm_n, rounds=max(3, speedup_rounds // 2)
-    )
     current: dict = {
-        "mcl_backend": backend,
         "microbench": {
             "des_events_per_sec": suite["des_events"]["per_sec"],
             "store_events_per_sec": suite["store_events"]["per_sec"],
@@ -131,19 +105,13 @@ def run_perf_report(
                 rounds=speedup_rounds, workload="mixed"
             ),
         },
-        "backends": {
-            "selected": backend,
-            "vm": comparison,
-            "closures_speedup": comparison["speedup"],
-        },
     }
     over_baseline = {
         key: current["microbench"][key] / BASELINE["microbench"][key]
         for key in BASELINE["microbench"]
     }
     if figures:
-        with mcl_backend_default(backend):
-            walls = _figure_walls()
+        walls = _figure_walls()
         current["figures"] = walls
         over_baseline.update(
             {
@@ -151,13 +119,6 @@ def run_perf_report(
                 for key in BASELINE["figures"]
             }
         )
-        other = "closures" if backend == "interp" else "interp"
-        with mcl_backend_default(other):
-            other_walls = _figure_walls()
-        current["backends"]["figures"] = {
-            backend: walls,
-            other: other_walls,
-        }
     return {
         "baseline": BASELINE,
         "current": current,

@@ -33,10 +33,6 @@ nested for the mailbox layer)::
     )
     c = repro.cluster(config=cfg)
 
-The pre-1.3 keyword pile (``repro.cluster(4, metrics=True, ...)``)
-still works but is deprecated: the kwargs are folded into a
-``ClusterConfig`` and a :class:`DeprecationWarning` is emitted.
-
 :class:`Experiment` is the fluent front end for measured runs.  The
 body is an ordinary function of the cluster — use real statements, not
 an ``and``-chain (``c.inject(s) and c.run_to_quiescence()`` would
@@ -52,11 +48,10 @@ short-circuit whenever ``inject`` returned a falsy value)::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Union
 
-from .des import MCL_BACKENDS, SCHEDULER_KINDS, Simulator
+from .des import Simulator
 from .mailbox import MailboxConfig
 from .netsim import CostModel, DEFAULT_COSTS, Network, build_lan
 from .obs import MetricsRegistry, cost_breakdown, format_breakdown
@@ -71,12 +66,6 @@ __all__ = [
 
 #: Daemon-graph shapes :class:`Cluster` knows how to build.
 TOPOLOGIES = ("ethernet", "complete", "ring")
-
-#: Keyword arguments the pre-ClusterConfig facade accepted directly.
-_LEGACY_KWARGS = (
-    "topology", "costs", "cpu_scale", "metrics", "faults", "seed",
-    "resilience", "name_prefix",
-)
 
 
 @dataclass(frozen=True)
@@ -116,20 +105,6 @@ class ClusterConfig:
         layers).  When a resilience policy is also armed, the
         ``no-request-lost`` / ``breaker-sanity`` invariants are wired
         into the suite automatically.
-    ``scheduler``
-        DES event-queue implementation: ``None`` (the process-wide
-        default, normally ``"heap"``), ``"heap"`` (binary heap) or
-        ``"calendar"`` (the O(1)-amortised calendar queue for very
-        large entity counts — see the README "Scale" section).  Both
-        drain in bit-identical order; this is purely a perf knob.
-    ``mcl_backend``
-        MCL execution backend: ``None`` (the process-wide default,
-        normally ``"interp"``), ``"interp"`` (the int-opcode
-        interpreter) or ``"closures"`` (basic-block superinstructions
-        compiled to Python closures — see the README "Performance"
-        section).  Both produce bit-identical Command streams, trace
-        digests and interpretation accounting; this is purely a perf
-        knob.
     """
 
     n_hosts: int = 4
@@ -143,29 +118,11 @@ class ClusterConfig:
     mailbox: Union[None, bool, MailboxConfig] = None
     service: Any = None
     name_prefix: str = "host"
-    scheduler: Optional[str] = None
-    mcl_backend: Optional[str] = None
 
     def __post_init__(self):
         if self.n_hosts < 1:
             raise ValueError(
                 f"need at least one host, got {self.n_hosts}"
-            )
-        if (
-            self.scheduler is not None
-            and self.scheduler not in SCHEDULER_KINDS
-        ):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} (choose from "
-                f"{', '.join(SCHEDULER_KINDS)})"
-            )
-        if (
-            self.mcl_backend is not None
-            and self.mcl_backend not in MCL_BACKENDS
-        ):
-            raise ValueError(
-                f"unknown MCL backend {self.mcl_backend!r} (choose from "
-                f"{', '.join(MCL_BACKENDS)})"
             )
         if (
             isinstance(self.topology, str)
@@ -191,48 +148,21 @@ class Cluster:
         Cluster(8)                         # 8 hosts, defaults otherwise
         Cluster(config=ClusterConfig(...)) # fully configured
 
-    An explicit ``n_hosts`` overrides ``config.n_hosts``.  The pre-1.3
-    keyword arguments (``topology=``, ``metrics=``, ``faults=``, ...)
-    are accepted as deprecation shims: they fold into the config and
-    emit a :class:`DeprecationWarning`.
+    An explicit ``n_hosts`` overrides ``config.n_hosts``.
     """
 
     def __init__(
         self,
         n_hosts: Optional[int] = None,
         config: Optional[ClusterConfig] = None,
-        **legacy: Any,
     ):
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"unknown Cluster arguments {unknown}; "
-                    f"ClusterConfig fields are "
-                    f"{[f.name for f in ClusterConfig.__dataclass_fields__.values()]}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either a ClusterConfig or legacy keyword "
-                    "arguments, not both"
-                )
-            warnings.warn(
-                "passing subsystem options as keyword arguments "
-                f"({', '.join(sorted(legacy))}) is deprecated; build a "
-                "repro.ClusterConfig and pass it as config=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ClusterConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = ClusterConfig()
         if n_hosts is not None:
             config = replace(config, n_hosts=n_hosts)
         self.config = config
 
-        self.sim = Simulator(
-            scheduler=config.scheduler, mcl_backend=config.mcl_backend
-        )
+        self.sim = Simulator()
         self.costs = (
             config.costs if config.costs is not None else DEFAULT_COSTS
         )
@@ -560,8 +490,7 @@ class Cluster:
         if self.metrics is None:
             raise RuntimeError(
                 "cluster was built without metrics; set metrics=True on "
-                "the ClusterConfig (or repro.cluster(...)) to enable "
-                "the cost ledger"
+                "the ClusterConfig to enable the cost ledger"
             )
         return cost_breakdown(self.metrics, self.sim.now, self.n_tracks)
 
@@ -590,16 +519,13 @@ class Cluster:
 def cluster(
     n_hosts: Optional[int] = None,
     config: Optional[ClusterConfig] = None,
-    **legacy: Any,
 ) -> Cluster:
     """Build the paper's platform: ``n_hosts`` workstations on one LAN.
 
     ``repro.cluster(4)`` for the defaults, ``repro.cluster(config=cfg)``
-    for a fully configured platform.  Legacy keyword arguments are
-    folded into a :class:`ClusterConfig` with a DeprecationWarning (see
-    :class:`Cluster`).
+    for a fully configured platform.
     """
-    return Cluster(n_hosts, config=config, **legacy)
+    return Cluster(n_hosts, config=config)
 
 
 @dataclass
@@ -727,11 +653,6 @@ class Experiment:
 
     def name_prefix(self, prefix: str) -> "Experiment":
         self._config = replace(self._config, name_prefix=prefix)
-        return self
-
-    def mcl_backend(self, kind: str) -> "Experiment":
-        """Select the MCL execution backend (``"interp"``/``"closures"``)."""
-        self._config = replace(self._config, mcl_backend=kind)
         return self
 
     # -- terminal steps ------------------------------------------------------

@@ -45,7 +45,6 @@ from .mcl.bytecode import (
     HopCommand,
     SchedCommand,
 )
-from .mcl.closures import run as closures_run
 from .mcl.vm import run as vm_run
 from .messenger import Messenger
 from .natives import NativeEnv
@@ -80,13 +79,6 @@ class Daemon:
         self.system = system
         self.host = host
         self.sim = system.sim
-        #: VM entry point, resolved once from the simulator's backend
-        #: knob; both backends share signature and Command contract.
-        self._vm_run = (
-            closures_run
-            if getattr(self.sim, "mcl_backend", "interp") == "closures"
-            else vm_run
-        )
         self.ready: Store = Store(self.sim)
         self.stats = DaemonStats()
         #: Set by the system's crash listener while this daemon's host is
@@ -283,7 +275,7 @@ class Daemon:
             return self.system.netvar(self, messenger, name)
 
         try:
-            command = self._vm_run(
+            command = vm_run(
                 messenger.frame,
                 messenger.variables,
                 messenger.node.variables,

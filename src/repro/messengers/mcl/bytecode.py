@@ -206,10 +206,6 @@ class Program:
         #: Precomputed ``(int_opcode, arg)`` dispatch table, built lazily
         #: by the VM on first execution (the VM owns the opcode mapping).
         self._dispatch: Optional[list] = None
-        #: Compiled basic-block closures, built lazily by the closures
-        #: backend (:mod:`repro.messengers.mcl.closures`) on first
-        #: execution under ``mcl_backend="closures"``.
-        self._closures: Any = None
         for instr in self.instructions:
             if instr.op not in OPCODES:
                 raise ValueError(f"bad opcode {instr.op!r}")

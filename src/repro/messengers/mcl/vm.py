@@ -65,18 +65,11 @@ class Frame:
     program: Program
     pc: int = 0
     stack: list = field(default_factory=list)
-    #: Resumption hint for the closures backend
-    #: (:mod:`repro.messengers.mcl.closures`): the basic-block index to
-    #: re-enter after a yield.  ``-1`` means "derive from ``pc``" — the
-    #: int-opcode interpreter never sets it, so frames migrate freely
-    #: between backends (``pc`` stays the source of truth; the hint is
-    #: validated against it before use).
-    block: int = -1
 
     def clone(self) -> "Frame":
         """Duplicate for replication; stack contents are shallow-copied
         (at preemption points the stack holds at most small scalars)."""
-        return Frame(self.program, self.pc, list(self.stack), self.block)
+        return Frame(self.program, self.pc, list(self.stack))
 
     def push(self, value: Any) -> None:
         self.stack.append(value)

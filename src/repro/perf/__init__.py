@@ -39,7 +39,6 @@ __all__ = [
     "des_speedup_vs_reference",
     "store_throughput",
     "vm_opcode_throughput",
-    "vm_backend_speedup",
     "net_packet_throughput",
     "throughput_suite",
 ]
@@ -294,34 +293,11 @@ bench(n) {
 """
 
 
-def _vm_runner(backend: str):
-    """Resolve a VM entry point by backend name."""
-    if backend == "interp":
-        from ..messengers.mcl.vm import run as vm_run
-
-        return vm_run
-    if backend == "closures":
-        from ..messengers.mcl.closures import run as closures_run
-
-        return closures_run
-    raise ValueError(
-        f"unknown MCL backend {backend!r}; expected 'interp' or 'closures'"
-    )
-
-
-def vm_opcode_throughput(
-    n: int = 20_000, repeats: int = 3, backend: str = "interp"
-) -> dict:
-    """Opcodes/sec through the MCL VM, no simulator involved.
-
-    ``backend`` selects the int-opcode interpreter (``"interp"``) or the
-    basic-block closures compiler (``"closures"``); both execute the
-    same bytecode and return identical instruction counts.
-    """
+def vm_opcode_throughput(n: int = 20_000, repeats: int = 3) -> dict:
+    """Opcodes/sec through the MCL VM, no simulator involved."""
     from ..messengers.mcl.compiler import compile_source
-    from ..messengers.mcl.vm import Frame
+    from ..messengers.mcl.vm import Frame, run as vm_run
 
-    vm_run = _vm_runner(backend)
     program = compile_source(_VM_BENCH_SOURCE, "bench")
 
     def once():
@@ -339,55 +315,6 @@ def vm_opcode_throughput(
         return command.instructions, time.perf_counter() - start
 
     return _result(*_best_of(once, repeats))
-
-
-def vm_backend_speedup(n: int = 20_000, rounds: int = 15) -> dict:
-    """Closures-backend speedup over the int-opcode interpreter.
-
-    Same methodology as :func:`des_speedup_vs_reference`: the two
-    backends run the identical program *alternating* in one process
-    (machine drift cancels out of the ratio), ``gc.collect()`` before
-    every timed run, ratio of the two minimum wall times.  Returns
-    ``{"n", "rounds", "instructions", "interp_per_sec",
-    "closures_per_sec", "speedup"}``.
-    """
-    import gc
-
-    from ..messengers.mcl.compiler import compile_source
-    from ..messengers.mcl.vm import Frame
-
-    program = compile_source(_VM_BENCH_SOURCE, "bench")
-    runners = {name: _vm_runner(name) for name in ("interp", "closures")}
-
-    def timed(run):
-        frame = Frame(program)
-        variables = {"n": n}
-        gc.collect()
-        start = time.perf_counter()
-        command = run(
-            frame,
-            variables,
-            {},
-            lambda name: 0,
-            lambda name, args: 0,
-            max_instructions=100_000_000,
-        )
-        return command.instructions, time.perf_counter() - start
-
-    best = {"interp": float("inf"), "closures": float("inf")}
-    instructions = 0
-    for _ in range(max(1, rounds)):
-        for name, run in runners.items():
-            instructions, wall = timed(run)
-            best[name] = min(best[name], wall)
-    return {
-        "n": n,
-        "rounds": rounds,
-        "instructions": instructions,
-        "interp_per_sec": instructions / best["interp"],
-        "closures_per_sec": instructions / best["closures"],
-        "speedup": best["interp"] / best["closures"],
-    }
 
 
 def net_packet_throughput(

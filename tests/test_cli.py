@@ -190,9 +190,7 @@ class TestBenchOut:
         assert points[0]["events"] == blob["baseline"]["points"]["1"][
             "events"
         ]
-        # Both schedulers measured, simulated results asserted equal
-        # inside the driver.
-        assert set(points[0]["events_per_sec"]) == {"calendar", "heap"}
+        assert points[0]["events_per_sec"] > 0
 
     def test_search_out_creates_parent_dirs(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "report.json"

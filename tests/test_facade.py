@@ -204,28 +204,12 @@ class TestClusterConfig:
 
 
 class TestDeprecationShims:
-    """Pre-1.3 keyword call sites keep working, loudly."""
-
-    def test_legacy_kwargs_warn_and_fold_into_config(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            c = repro.cluster(3, topology="ring", name_prefix="ws")
-        assert c.config.topology == "ring"
-        assert c.host_names == ["ws0", "ws1", "ws2"]
-
-    def test_legacy_cluster_class_warns_too(self):
-        with pytest.warns(DeprecationWarning):
-            c = repro.Cluster(2, metrics=True)
-        assert c.metrics is not None
+    """Subsystem options go through ClusterConfig only."""
 
     def test_unknown_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="unknown Cluster arguments"):
-            repro.cluster(2, topologee="ring")
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            repro.cluster(
-                2, config=repro.ClusterConfig(), topology="ring"
-            )
+        for build in (repro.cluster, repro.Cluster):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                build(2, topology="ring")
 
 
 class TestMailboxFacade:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.facade import Cluster, ClusterConfig
 from repro.messengers.mcl import (
     CompileError,
     CreateCommand,
@@ -14,6 +15,7 @@ from repro.messengers.mcl import (
     compile_source,
     run,
 )
+from repro.messengers.mcl.compiler import LruCache
 
 
 def execute(source, natives=None, netvars=None, mvars=None, nvars=None,
@@ -92,6 +94,10 @@ class TestArithmetic:
         with pytest.raises(MclRuntimeError):
             execute("f() { x = 1 / 0; }")
 
+    def test_bad_operand_types_raise_runtime_error(self):
+        with pytest.raises(MclRuntimeError):
+            execute('f() { x = 1 + "s"; }')
+
 
 class TestControlFlow:
     def test_if_else(self):
@@ -149,6 +155,24 @@ class TestControlFlow:
         with pytest.raises(MclRuntimeError, match="instructions"):
             run(frame, {}, {}, lambda n: None, lambda n, a: None)
 
+    def test_max_instructions_bounds_one_slice(self):
+        program = compile_source("f() { while (1) { x = 1; } }")
+        with pytest.raises(MclRuntimeError, match="exceeded 1000"):
+            run(
+                Frame(program), {}, {}, lambda n: None, lambda n, a: None,
+                max_instructions=1000,
+            )
+
+    def test_done_on_frame_past_end(self):
+        frame = Frame(compile_source("f() { x = 1; }"))
+        assert isinstance(
+            run(frame, {}, {}, lambda n: None, lambda n, a: None),
+            DoneCommand,
+        )
+        again = run(frame, {}, {}, lambda n: None, lambda n, a: None)
+        assert isinstance(again, DoneCommand)
+        assert again.instructions == 0
+
 
 class TestVariables:
     def test_node_vs_messenger_scope(self):
@@ -200,6 +224,16 @@ class TestNativeCalls:
             "f() { record(9); }", natives={"record": lambda x: x}
         )
         assert mvars == {}
+
+    def test_native_exceptions_propagate_raw(self):
+        class Boom(Exception):
+            pass
+
+        def explode():
+            raise Boom()
+
+        with pytest.raises(Boom):
+            execute("f() { explode(); }", natives={"explode": explode})
 
 
 class TestNavigationCommands:
@@ -321,3 +355,42 @@ class TestDisassembly:
     def test_code_bytes_positive(self):
         program = compile_source("f() { x = 1; }")
         assert program.code_bytes > 0
+
+
+class TestProgramCacheLru:
+    def test_hits_and_misses_counted(self):
+        cache = LruCache(capacity=2)
+        assert cache.get("a") is None
+        cache.put("a", 1)
+        assert cache.get("a") == 1
+        assert cache.stats()["hits"] == 1
+        assert cache.stats()["misses"] == 1
+
+    def test_capacity_evicts_least_recent(self):
+        cache = LruCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refresh "a"; "b" is now oldest
+        cache.put("c", 3)
+        assert cache.get("b") is None
+        assert cache.get("a") == 1
+        assert cache.get("c") == 3
+        assert len(cache) == 2
+
+    def test_rejects_nonpositive_capacity(self):
+        with pytest.raises(ValueError):
+            LruCache(capacity=0)
+
+    def test_cache_gauges_exported_through_obs(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        cluster = Cluster(
+            config=ClusterConfig(n_hosts=1, metrics=registry)
+        )
+        source = "f() { x = 1; }"
+        cluster.messengers.compile(source)
+        cluster.messengers.compile(source)
+        snap = registry.snapshot()
+        assert snap["mcl_cache_misses"] == 1
+        assert snap["mcl_cache_hits"] == 1

@@ -248,134 +248,3 @@ class TestSweepPoolIdentity:
             run_replications(
                 len, [Replication(rid=1), Replication(rid=1)]
             )
-
-
-class TestSchedulerGoldenEquivalence:
-    """The calendar queue reproduces the heapq goldens bit-for-bit.
-
-    The CalendarQueue (``Simulator(scheduler="calendar")``) claims the
-    exact ``(time, priority, eid, daemon)`` drain order of the heap it
-    replaces at scale.  Proof on real workloads: the
-    golden digests above — fig-5 Mandelbrot (both systems), fig-12b
-    matmul, and the 5%-loss fault plan — are reproduced unchanged with
-    the calendar scheduler switched on process-wide.
-    """
-
-    def test_calendar_reproduces_fig5_goldens(self):
-        from repro.des import scheduler_default
-
-        with scheduler_default("calendar"):
-            _check(
-                "mandelbrot_messengers",
-                lambda: run_messengers(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-            _check(
-                "mandelbrot_pvm",
-                lambda: run_pvm(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_calendar_reproduces_lossy_goldens(self):
-        from repro.des import scheduler_default
-
-        with scheduler_default("calendar"):
-            _check(
-                "mandelbrot_messengers_lossy",
-                lambda: run_messengers(
-                    GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-                ),
-                lambda r: r.image.tobytes(),
-            )
-            _check(
-                "mandelbrot_pvm_lossy",
-                lambda: run_pvm(
-                    GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-                ),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_calendar_matches_heap_on_fig12b(self):
-        from repro.des import scheduler_default
-
-        a, b = make_matrices(60, seed=0)
-
-        def run_with(kind):
-            with scheduler_default(kind):
-                with hashing_all_simulators() as hasher:
-                    result = run_matmul(a, b, 3)
-                return hasher.hexdigest(), hasher.events, result.c.tobytes()
-
-        assert run_with("heap") == run_with("calendar")
-
-
-class TestClosuresBackendGoldenEquivalence:
-    """The closures backend reproduces the interpreter goldens bit-for-bit.
-
-    The basic-block superinstruction compiler
-    (``Simulator(mcl_backend="closures")``) claims the interpreter's
-    exact Command stream and instruction accounting.  Proof on real
-    workloads: the golden digests above — fig-5
-    Mandelbrot (both systems), fig-12b matmul, and the 5%-loss fault
-    plan — are reproduced unchanged with the closures backend switched
-    on process-wide.
-    """
-
-    def test_closures_reproduces_fig5_goldens(self):
-        from repro.des import mcl_backend_default
-
-        with mcl_backend_default("closures"):
-            _check(
-                "mandelbrot_messengers",
-                lambda: run_messengers(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-            _check(
-                "mandelbrot_pvm",
-                lambda: run_pvm(GRID, PROCS),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_closures_reproduces_lossy_golden(self):
-        from repro.des import mcl_backend_default
-
-        with mcl_backend_default("closures"):
-            _check(
-                "mandelbrot_messengers_lossy",
-                lambda: run_messengers(
-                    GRID, PROCS, faults=FaultPlan().drop(0.05), seed=7
-                ),
-                lambda r: r.image.tobytes(),
-            )
-
-    def test_closures_matches_interp_on_fig12b(self):
-        from repro.des import mcl_backend_default
-
-        a, b = make_matrices(60, seed=0)
-
-        def run_with(kind):
-            with mcl_backend_default(kind):
-                with hashing_all_simulators() as hasher:
-                    result = run_matmul(a, b, 3)
-                return hasher.hexdigest(), hasher.events, result.c.tobytes()
-
-        assert run_with("interp") == run_with("closures")
-
-    def test_closures_ledger_accounting_identity(self):
-        """The obs ledger — including the "interpretation" category the
-        paper's figures score on — is identical under both backends."""
-        from repro.des import mcl_backend_default
-        from repro.obs import MetricsRegistry
-
-        def snapshot(kind):
-            with mcl_backend_default(kind):
-                registry = MetricsRegistry()
-                result = run_messengers(GRID, PROCS, metrics=registry)
-            snap = registry.snapshot()
-            return result.seconds, result.image.tobytes(), snap
-
-        interp_secs, interp_img, interp_snap = snapshot("interp")
-        closures_secs, closures_img, closures_snap = snapshot("closures")
-        assert closures_secs == interp_secs
-        assert closures_img == interp_img
-        assert closures_snap == interp_snap

@@ -3,7 +3,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.des import PriorityStore, Resource, Simulator, Store
+from repro.des import Event, PriorityStore, Resource, Simulator, Store
+from repro.des.core import NORMAL, URGENT
 
 
 class TestEventOrderingProperties:
@@ -189,64 +190,114 @@ class TestResourceProperties:
         assert sim.now >= sum(holds) - 1e-9
 
 
-class TestSchedulerEquivalenceProperties:
-    """The calendar queue and the binary heap are the same scheduler.
+class _QueueSpec:
+    """Reference model of the kernel's event queue: a plain list.
 
-    The equivalence claim the golden-digest tests pin on real workloads,
-    stated as a property: for *any* interleaving of pushes and pops of
-    valid queue entries, :class:`~repro.des.CalendarQueue` drains in
-    exactly the order ``heapq`` does (full-tuple order — time, then
-    priority, then event id).  Pushes are allowed at any time, including
-    behind the calendar cursor (an earlier-time entry pushed after later
-    ones were popped from the same region must still come out first).
+    Every queued entry is ``(time, priority, eid, background, tag,
+    child_delay)``; the next one to execute is the least
+    ``(time, priority, eid)``, found by a full scan.  Slow and obviously
+    correct — the kernel's heap must agree with it on every step.
     """
 
-    entry_times = st.one_of(
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        # Degenerate widths: bursts of identical and near-identical
-        # times collapse into one bucket; huge outliers stretch the
-        # width estimate.
-        st.sampled_from([0.0, 1.0, 1.0, 1.0 + 1e-12, 1e-9, 1e6]),
+    def __init__(self):
+        self.now = 0.0
+        self.eid = 0
+        self.entries: list = []
+        self.executed: list = []
+
+    def push(self, delay, priority, background, tag, child_delay):
+        self.entries.append(
+            (self.now + delay, priority, self.eid, background, tag,
+             child_delay)
+        )
+        self.eid += 1
+
+    def foreground_pending(self) -> bool:
+        return any(not entry[3] for entry in self.entries)
+
+    def step(self):
+        entry = min(self.entries, key=lambda e: e[:3])
+        self.entries.remove(entry)
+        self.now = entry[0]
+        self.executed.append((entry[4], self.now))
+        if entry[5] is not None:
+            self.push(entry[5], NORMAL, False, (entry[4], "child"), None)
+
+
+class TestSchedulerEquivalenceProperties:
+    """The kernel executes events in ``sorted((time, priority, eid))``.
+
+    Stated against :class:`_QueueSpec` for *any* batch sequence of
+    foreground and background timeouts and URGENT/NORMAL scheduled
+    events, interleaved with single steps, where a fired event may
+    schedule a follow-up timeout.  The golden-digest tests pin the same
+    order on real workloads.
+    """
+
+    delays = st.one_of(
+        st.floats(min_value=0, max_value=1e3, allow_nan=False),
+        # Ties: identical times must fall back to priority, then eid.
+        st.sampled_from([0.0, 0.0, 1.0, 1e-9]),
     )
+    kinds = st.sampled_from(["timeout", "background", "urgent", "normal"])
 
     @given(
         batches=st.lists(
             st.tuples(
-                st.lists(entry_times, min_size=0, max_size=40),
-                st.integers(min_value=0, max_value=40),
+                st.lists(
+                    st.tuples(kinds, delays, st.none() | delays),
+                    max_size=20,
+                ),
+                st.integers(min_value=0, max_value=30),
             ),
             min_size=1, max_size=8,
         ),
-        priorities=st.data(),
     )
     @settings(deadline=None, max_examples=200)
-    def test_calendar_drains_in_heap_order(self, batches, priorities):
-        import heapq
+    def test_events_execute_in_spec_order(self, batches):
+        sim = Simulator()
+        spec = _QueueSpec()
+        executed: list = []
 
-        from repro.des import CalendarQueue
+        def fire(tag, child_delay):
+            def callback(event):
+                executed.append((tag, sim.now))
+                if child_delay is not None:
+                    add("timeout", child_delay, (tag, "child"), None)
+            return callback
 
-        calendar = CalendarQueue()
-        heap: list = []
-        popped_cal: list = []
-        popped_heap: list = []
-        eid = 0
-        for times, n_pops in batches:
-            for t in times:
-                prio = priorities.draw(
-                    st.integers(min_value=0, max_value=1)
+        def add(kind, delay, tag, child_delay):
+            if kind in ("timeout", "background"):
+                event = sim.timeout(delay, daemon=kind == "background")
+            else:
+                event = Event(sim)
+                event._ok = True
+                event._value = None
+                sim.schedule(
+                    event, delay,
+                    priority=URGENT if kind == "urgent" else NORMAL,
                 )
-                entry = (t, prio, eid, eid % 4, None)
-                eid += 1
-                calendar.push(entry)
-                heapq.heappush(heap, entry)
-            for _ in range(min(n_pops, len(heap))):
-                popped_cal.append(calendar.pop())
-                popped_heap.append(heapq.heappop(heap))
-        while heap:
-            popped_cal.append(calendar.pop())
-            popped_heap.append(heapq.heappop(heap))
-        assert popped_cal == popped_heap
-        assert len(calendar) == 0
+            event.callbacks = [fire(tag, child_delay)]
+
+        tag = 0
+        for ops, n_steps in batches:
+            for kind, delay, child_delay in ops:
+                add(kind, delay, tag, child_delay)
+                spec.push(
+                    delay, URGENT if kind == "urgent" else NORMAL,
+                    kind == "background", tag, child_delay,
+                )
+                tag += 1
+            for _ in range(min(n_steps, len(spec.entries))):
+                sim.step()
+                spec.step()
+            assert executed == spec.executed
+            assert sim.now == spec.now
+        sim.run()
+        while spec.foreground_pending():
+            spec.step()
+        assert executed == spec.executed
+        assert sim.now == spec.now
 
     @given(
         delays=st.lists(
@@ -255,21 +306,20 @@ class TestSchedulerEquivalenceProperties:
         ),
     )
     @settings(deadline=None)
-    def test_whole_simulations_agree(self, delays):
-        from repro.des import scheduler_default
+    def test_processes_wake_in_spec_order(self, delays):
+        # Each process starts in creation order and queues its timeout
+        # then, so the spec order is (time, creation order).
+        sim = Simulator()
+        fired = []
 
-        def trace(kind):
-            with scheduler_default(kind):
-                sim = Simulator()
-                fired = []
+        def proc(sim, delay, tag):
+            yield sim.timeout(delay)
+            fired.append((sim.now, tag))
 
-                def proc(sim, delay, tag):
-                    yield sim.timeout(delay)
-                    fired.append((sim.now, tag))
-
-                for tag, delay in enumerate(delays):
-                    sim.process(proc(sim, delay, tag))
-                sim.run()
-                return fired, sim.now
-
-        assert trace("heap") == trace("calendar")
+        for tag, delay in enumerate(delays):
+            sim.process(proc(sim, delay, tag))
+        sim.run()
+        assert fired == sorted(
+            (delay, tag) for tag, delay in enumerate(delays)
+        )
+        assert sim.now == max(delays)

@@ -445,9 +445,10 @@ class TestFacadeIntegration:
     def test_cluster_arms_resilience(self):
         import repro
 
-        c = repro.cluster(
-            2, resilience=repro.ResiliencePolicy(detector="heartbeat")
-        )
+        c = repro.cluster(config=repro.ClusterConfig(
+            n_hosts=2,
+            resilience=repro.ResiliencePolicy(detector="heartbeat"),
+        ))
         assert c.resilience is not None
         assert c.resilience_stats["detector"] == "heartbeat"
 
